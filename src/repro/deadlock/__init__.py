@@ -4,9 +4,10 @@ For deterministic (table-driven) routing, Dally & Seitz's theorem reduces
 wormhole deadlock freedom to a graph property: the network cannot deadlock
 iff the *channel dependency graph* -- channels as vertices, an edge
 whenever some route holds one channel while waiting for the next -- is
-acyclic.  This package builds that graph from a route set, finds and
-enumerates cycles, and certifies (topology, routing) pairs; the wormhole
-simulator provides the matching dynamic evidence.
+acyclic.  This package certifies (topology, routing) pairs straight from
+their routing tables (:mod:`repro.deadlock.certifier`), and builds the
+networkx graph from a route set to find and enumerate cycles for the
+figures; the wormhole simulator provides the matching dynamic evidence.
 """
 
 from repro.deadlock.cdg import (

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.deadlock.cdg import channel_dependency_graph, find_cycle
+from repro.deadlock.certifier import certify_channel_order
 from repro.network.graph import Network
-from repro.routing.base import RouteSet, RoutingTable, all_pairs_routes
-from repro.routing.validate import validate_routing
+from repro.routing.base import RouteSet, RoutingTable
 
 __all__ = ["CertificationResult", "certify_deadlock_free"]
 
@@ -38,21 +37,21 @@ def certify_deadlock_free(
     """Certify a (network, routing) pair.
 
     Checks (1) every ordered end-node pair is deliverable over a simple
-    path, and (2) the channel dependency graph of the all-pairs route set
-    is acyclic.  Together these are the Dally-Seitz conditions for a
+    path, and (2) the channel dependency relation of the all-pairs route
+    set is acyclic.  Together these are the Dally-Seitz conditions for a
     deterministic wormhole network that can never deadlock.
+
+    A view of :func:`repro.deadlock.certifier.certify_channel_order`:
+    without ``routes`` the relation is read straight off the tables, and
+    ``sample_cycle`` is that certifier's counterexample cycle.
     """
-    report = validate_routing(net, tables)
-    if routes is None:
-        routes = all_pairs_routes(net, tables) if report.ok else RouteSet()
-    cdg = channel_dependency_graph(net, routes)
-    cycle = find_cycle(cdg)
+    order = certify_channel_order(net, tables, routes=routes)
     return CertificationResult(
         network=net.name,
-        deliverable=report.ok,
-        deadlock_free=cycle is None,
-        num_channels=cdg.number_of_nodes(),
-        num_dependencies=cdg.number_of_edges(),
-        sample_cycle=tuple(cycle) if cycle else None,
-        failures=tuple(report.failures[:10]),
+        deliverable=order.deliverable,
+        deadlock_free=order.deadlock_free,
+        num_channels=order.num_channels,
+        num_dependencies=order.num_dependencies,
+        sample_cycle=order.counterexample,
+        failures=order.failures,
     )

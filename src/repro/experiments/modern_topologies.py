@@ -34,8 +34,11 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.deadlock.analysis import certify_deadlock_free
-from repro.deadlock.cdg import channel_dependency_graph_vc, find_cycle
+from repro.deadlock.cdg import (
+    channel_dependency_graph,
+    channel_dependency_graph_vc,
+    find_cycle,
+)
 from repro.deadlock.certifier import certify_channel_order
 from repro.metrics.report import format_table
 from repro.obs.parity import stats_signature
@@ -72,36 +75,44 @@ RECOVERY_RETRY = RetryPolicy(timeout=48, backoff=2.0, max_retries=2, resend_dela
 RECOVERY_REROUTE = ReroutePolicy(detection_delay=16, reconvergence_delay=32)
 
 
-def _dual_certify(net, tables=None, routes=None) -> dict:
-    """Run both certifiers over the same route set and compare verdicts."""
+def _dual_certify(net, tables=None, routes=None, vc_assign=None) -> dict:
+    """Certify one routing twice and compare the verdicts.
+
+    The channel-order certifier runs on the tables when given (relation
+    read off the table matrix), else on the route set (over ``(link, vc)``
+    channels when ``vc_assign`` is given).  The independent side is the
+    networkx CDG over the enumerated route set, checked with
+    ``find_cycle``; the order certificate is re-verified against that same
+    route set (physical channels only: ``verify`` walks link ids).
+    """
     if routes is None:
         routes = all_pairs_routes(net, tables)
-    cdg_result = certify_deadlock_free(net, tables, routes=routes) if tables is not None else None
-    order_result = certify_channel_order(net, tables, routes=routes)
-    cdg_free = cdg_result.deadlock_free if cdg_result is not None else None
-    if cdg_result is None:
-        # route-set schemes have no tables for the CDG certifier's
-        # deliverability walk; compare the deadlock verdicts directly
-        from repro.deadlock.cdg import channel_dependency_graph
-
-        cdg_free = find_cycle(channel_dependency_graph(net, routes)) is None
-    row = {
-        "cdg_free": bool(cdg_free),
+    order_result = (
+        certify_channel_order(net, tables)
+        if tables is not None
+        else certify_channel_order(net, routes=routes, vc_assign=vc_assign)
+    )
+    cdg = (
+        channel_dependency_graph(net, routes)
+        if vc_assign is None
+        else channel_dependency_graph_vc(net, routes, vc_assign=vc_assign)
+    )
+    cdg_free = find_cycle(cdg) is None
+    return {
+        "cdg_free": cdg_free,
         "order_free": order_result.deadlock_free,
-        "agree": bool(cdg_free) == order_result.deadlock_free,
+        "agree": cdg_free == order_result.deadlock_free,
         "channels": order_result.num_channels,
         "dependencies": order_result.num_dependencies,
         "certificate_valid": (
-            order_result.certificate is not None
-            and order_result.certificate.verify(routes) == []
-        )
-        if order_result.deadlock_free
-        else None,
+            order_result.certificate.verify(routes) == []
+            if order_result.deadlock_free and vc_assign is None
+            else None
+        ),
         "counterexample_len": (
             len(order_result.counterexample) if order_result.counterexample else 0
         ),
     }
-    return row
 
 
 def _certification_rows() -> list[dict]:
@@ -121,45 +132,20 @@ def _certification_rows() -> list[dict]:
         | _dual_certify(hx, hx_tables)
     )
     valiant, vc_assign = hyperx_valiant_routes(hx, seed=7)
-    vc_cdg = channel_dependency_graph_vc(hx, valiant, vc_assign=vc_assign)
     rows.append(
-        {
-            "name": "hyperx_3x3",
-            "routing": "valiant",
-            "virtual_channels": 2,
-            "cdg_free": find_cycle(vc_cdg) is None,
-            "order_free": find_cycle(vc_cdg) is None,
-            "agree": True,
-            "channels": vc_cdg.number_of_nodes(),
-            "dependencies": vc_cdg.number_of_edges(),
-            "certificate_valid": None,
-            "counterexample_len": 0,
-        }
+        {"name": "hyperx_3x3", "routing": "valiant", "virtual_channels": 2}
+        | _dual_certify(hx, routes=valiant, vc_assign=vc_assign)
     )
 
     df, df_tables = MODERN_TOPOLOGIES["dragonfly_g5"].build()
-    physical = _dual_certify(df, df_tables)
     df_routes = all_pairs_routes(df, df_tables)
-    ladder_cdg = channel_dependency_graph_vc(
-        df, df_routes, vc_assign=dragonfly_vc_assign(df)
-    )
     rows.append(
         {"name": "dragonfly_g5", "routing": "minimal_lgl", "virtual_channels": 0}
-        | physical
+        | _dual_certify(df, df_tables, routes=df_routes)
     )
     rows.append(
-        {
-            "name": "dragonfly_g5",
-            "routing": "minimal_lgl",
-            "virtual_channels": 2,
-            "cdg_free": find_cycle(ladder_cdg) is None,
-            "order_free": find_cycle(ladder_cdg) is None,
-            "agree": True,
-            "channels": ladder_cdg.number_of_nodes(),
-            "dependencies": ladder_cdg.number_of_edges(),
-            "certificate_valid": None,
-            "counterexample_len": 0,
-        }
+        {"name": "dragonfly_g5", "routing": "minimal_lgl", "virtual_channels": 2}
+        | _dual_certify(df, routes=df_routes, vc_assign=dragonfly_vc_assign(df))
     )
 
     fm, fm_tables = MODERN_TOPOLOGIES["fullmesh_6"].build()

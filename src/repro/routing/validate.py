@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.network.graph import Network
+from repro.network.graph import Network, NetworkError
 from repro.routing.base import RoutingError, RoutingTable, compute_route
 
 __all__ = ["RoutingReport", "sample_pairs", "validate_routing"]
@@ -104,7 +104,7 @@ def validate_routing(
         report.pairs_checked += 1
         try:
             route = compute_route(net, tables, src, dst)
-        except RoutingError as exc:
+        except (RoutingError, NetworkError) as exc:  # NetworkError: uncabled port
             report.failures.append(f"{src}->{dst}: {exc}")
             continue
         if route.nodes[-1] != dst:

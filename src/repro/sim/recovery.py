@@ -77,8 +77,8 @@ class RecoveredTables:
         return self.tables is not None and self.deliverable and self.acyclic
 
 
-#: (cache key of the winning attempt) -> RecoveredTables; certification is
-#: as expensive as compilation, so it is memoized alongside the tables.
+#: (cache key of each attempt) -> RecoveredTables, so a sweep revisiting a
+#: failure set neither recompiles nor re-certifies its tables.
 _RECOVERY_MEMO: dict[str, RecoveredTables] = {}
 
 

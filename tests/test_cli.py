@@ -42,6 +42,7 @@ def test_certify(capsys):
     assert main(["certify", "fat_fractahedron", "--param", "levels=2"]) == 0
     out = capsys.readouterr().out
     assert "deadlock_free=True" in out
+    assert "channel-order certificate: " in out
 
 
 def test_certify_mesh(capsys):
@@ -78,3 +79,25 @@ def test_build_save_and_inspect(tmp_path, capsys):
     assert main(["inspect", path]) == 0
     out = capsys.readouterr().out
     assert "deadlock_free=True" in out
+
+
+def test_inspect_uncabled_port_reports_undeliverable(tmp_path, capsys):
+    from repro.experiments.fig1_deadlock import build
+    from repro.network.serialize import save_fabric
+    from repro.routing.dimension_order import dimension_order_tables
+
+    net = build()
+    tables = dimension_order_tables(net)
+    dest = next(e for e in net.end_node_ids() if net.attached_router(e) != "R0,0")
+    tables.set("R0,0", dest, 15)  # R0,0 has no cable on port 15
+    path = str(tmp_path / "fabric.json")
+    save_fabric(path, net, tables)
+    assert main(["inspect", path]) == 1
+    assert "deliverable=False" in capsys.readouterr().out
+
+
+def test_certify_prints_verdict_and_witness_from_one_call(capsys):
+    assert main(["certify", "ring", "--param", "num_routers=4"]) == 1
+    out = capsys.readouterr().out
+    assert "deadlock_free=False" in out
+    assert "channel-order counterexample: " in out
