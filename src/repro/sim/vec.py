@@ -21,21 +21,12 @@ Active sets
 
 At sub-saturation loads most channels are idle, so each phase kernel
 gathers/scatters over the *active* state instead of the full ``(B*C,)``
-width.  Two disciplines, picked by the ``active_set`` constructor
-keyword (``"auto"`` crosses over at :data:`ACTIVE_SCAN_MAX`):
-
-* ``"scan"`` (small widths): occupied channels and armed sources are
-  re-derived each cycle by full-width boolean scans -- linear ~1
-  byte/element passes that cost less than maintaining anything;
-* ``"index"`` (large widths): compressed index arrays (``occupied
-  channels``, ``armed sources``) are maintained incrementally -- a
-  sorted merge of freshly occupied channels, a mask-compress of drained
-  ones -- so per-cycle cost scales with occupancy, not network size.
-
-Both are bit-identical to ``dense=True`` full-width stepping (property
-test: ``tests/properties/test_vec_active_set_properties.py``).  An empty
-active set (equivalently, zero backlog and no in-flight packets in scan
-mode) fast-forwards the run loop to the next admission cycle, the same
+width.  The occupied channels and the armed sources are re-derived each
+cycle by full-width boolean scans -- linear ~1 byte/element passes that
+cost less than maintaining anything incrementally, at every width the
+scale path builds (measured up to the depth-4 fractahedron and 16-rate
+depth-3 batches).  Zero backlog and no in-flight packets in every
+replica fast-forwards the run loop to the next admission cycle, the same
 idle-cycle shortcut ``SimCore`` has.
 
 Layout
@@ -64,8 +55,8 @@ arrays plus a cycle-indexed arrival index; the per-cycle admission kernel
 is then a handful of scatter-adds.  ``uniform_traffic`` streams have a
 fast path that reproduces the generator's RNG draw order bit-for-bit
 without creating :class:`~repro.sim.packet.Packet` objects (verified at
-runtime; falls back to calling the generator when numpy's batched integer
-draws are not stream-identical to scalar draws).
+runtime; falls back to per-cycle scalar draws in the generator's exact
+order when the raw-word replay declines).
 
 Equivalence contract (checked by ``tests/sim/test_vec_engine.py`` and the
 CI parity smoke): at batch size 1 a :class:`VecCore` run is bit-identical
@@ -178,36 +169,6 @@ def vec_blockers(
 
 
 _EMPTY32 = np.empty(0, dtype=np.int32)
-
-#: Width crossover for active-set derivation: full-width boolean scans
-#: (~1 byte/element linear passes) beat the incremental sorted-merge
-#: upkeep (~30 small kernel dispatches per cycle) until replicas*channels
-#: reaches the tens of thousands; measured on the depth-3/4 fractahedron
-#: curve the break-even sits between 5K and 43K channels.
-ACTIVE_SCAN_MAX = 1 << 15
-
-
-_BATCHED_INTS_OK: bool | None = None
-
-
-def _batched_ints_identical() -> bool:
-    """True when ``rng.integers(lo, hi, size=k)`` consumes the PCG64 stream
-    exactly like ``k`` successive scalar draws (numpy's Lemire rejection is
-    per-element either way, but verify rather than assume)."""
-    global _BATCHED_INTS_OK
-    if _BATCHED_INTS_OK is None:
-        a = np.random.default_rng(20260808)
-        b = np.random.default_rng(20260808)
-        ok = True
-        for n, k in ((17, 5), (63, 63), (5, 1), (31, 12)):
-            ua, ub = a.random(n), b.random(n)
-            ok = ok and bool(np.array_equal(ua, ub))
-            scalars = [int(a.integers(0, n - 1)) for _ in range(k)]
-            batched = b.integers(0, n - 1, size=k)
-            ok = ok and scalars == batched.tolist()
-        _BATCHED_INTS_OK = ok
-    return _BATCHED_INTS_OK
-
 
 _RAW_UNIFORM_OK: bool | None = None
 
@@ -342,10 +303,8 @@ class VecCore:
     ``b``'s final :class:`~repro.sim.stats.SimStats` exactly equals the
     stats of an independent single run.
 
-    ``active_set`` selects the sparse stepping discipline (``"auto"`` /
-    ``"scan"`` / ``"index"``; see the module docstring) and ``dense=True``
-    restores full-width kernels -- both knobs exist for the property
-    suite and benchmarks; every mode is bit-identical.
+    Each cycle re-derives the occupied channels and armed sources by
+    full-width scans (see the module docstring).
     """
 
     def __init__(
@@ -354,9 +313,6 @@ class VecCore:
         tables: RoutingTable,
         streams: Sequence["TrafficGenerator | UniformPlan"],
         config: SimConfig | None = None,
-        *,
-        dense: bool = False,
-        active_set: str = "auto",
     ) -> None:
         self.net = net
         self.tables = tables
@@ -441,32 +397,6 @@ class VecCore:
         self._win_adm: list[tuple] = []  # (cyc, flat, pid) per pregen call
         self._adm_arrays: dict[int, "tuple | None"] = {}
         self._adm_cycles = np.empty(0, dtype=np.int64)  # sorted admission cycles
-
-        # ---- active sets: sorted compressed index arrays the sparse step
-        # kernels gather/scatter over instead of the full (B*C,) width.
-        # ``dense`` disables them (full-width scans every cycle) so the
-        # property suite can diff both stepping modes bit-for-bit.
-        self._dense = bool(dense)
-        # active-set derivation mode: below the crossover a full-width
-        # boolean scan re-derives the occupied/armed index arrays each
-        # cycle (a handful of linear passes); above it the incremental
-        # sorted-merge upkeep wins because scans grow with B*C while
-        # upkeep grows with what the cycle actually touched (see
-        # ACTIVE_SCAN_MAX for the calibration)
-        if active_set not in ("auto", "scan", "index"):
-            raise ValueError(f"unknown active_set mode: {active_set!r}")
-        if active_set == "auto":
-            self._scan = B * C <= ACTIVE_SCAN_MAX
-        else:
-            self._scan = active_set == "scan"
-        self._occ_idx = _EMPTY32  # flat (replica, channel) with queued flits
-        self._occ_mask = np.zeros(0 if self._scan else B * C, dtype=bool)
-        # flat (replica, source) with work to inject.  Unlike the occupied
-        # set this one is unsorted: sources never arbitrate against each
-        # other, so no kernel depends on its order, and a membership mask
-        # keeps it duplicate-free without any per-cycle sort.
-        self._armed_idx = _EMPTY32
-        self._armed_mask = np.zeros(0 if self._scan else B * S, dtype=bool)
 
         # ---- per-replica bookkeeping
         self._offered = np.zeros(B, dtype=np.int64)
@@ -588,7 +518,7 @@ class VecCore:
             )
         if self._pregen_uniform_fast(b, st, start, stop):
             return
-        batched = _batched_ints_identical()
+        # per-cycle fallback: scalar draws in uniform_traffic's exact order
         ts: list[int] = []
         ks: list[int] = []
         fireds: list[np.ndarray] = []
@@ -599,12 +529,9 @@ class VecCore:
             k = fired.size
             if not k:
                 continue
-            if batched and n >= 2:
-                js = rng.integers(0, n - 1, size=k)
-            else:
-                js = np.array(
-                    [int(rng.integers(0, n - 1)) for _ in range(k)], dtype=np.int64
-                )
+            js = np.array(
+                [int(rng.integers(0, n - 1)) for _ in range(k)], dtype=np.int64
+            )
             ts.append(t)
             ks.append(k)
             fireds.append(fired)
@@ -933,18 +860,10 @@ class VecCore:
                 act = self._alive.copy()
                 if not act.any():
                     break
-            if (
-                not self._dense
-                and (
-                    (not self._occ_idx.size and not self._armed_idx.size)
-                    if not self._scan
-                    # armed implies backlog > 0 (the count drops only at
-                    # last-flit injection) and occupied implies in-flight
-                    # packets, so two scalar reductions decide idleness
-                    else not self._backlog.any()
-                    and not (self._pi != self._pd).any()
-                )
-            ):
+            # armed implies backlog > 0 (the count drops only at last-flit
+            # injection) and occupied implies in-flight packets, so two
+            # scalar reductions decide idleness
+            if not self._backlog.any() and not (self._pi != self._pd).any():
                 # idle-cycle fast-forward (cf. SimCore._fast_forward): no
                 # flit queued and no source armed anywhere, so every cycle
                 # until the next pre-generated admission is provably inert
@@ -985,11 +904,8 @@ class VecCore:
     def _step(self, act: np.ndarray, generate: bool) -> None:
         B, C, S, V, D, L = self.B, self.C, self.S, self.V, self.D, self.L
         cycle = self._cycle
-        fifo = self._fifo
         fifo_len = self._fifo_len
         fl2 = fifo_len.reshape(B, C)
-        dense = self._dense
-        scan = self._scan
 
         # single-replica fast path: per-replica reductions (bincounts keyed
         # on the replica, masked peak/stall updates) collapse to Python
@@ -997,8 +913,6 @@ class VecCore:
         # replica, so b1 implies the replica is alive.
         b1 = B == 1
         all_alive = b1 or bool(act.all())
-        # indices whose active-set membership this cycle may have changed
-        src_touch: list[np.ndarray] = []
 
         # ---- inject phase 1: traffic admission (pre-generated arrivals)
         if generate:
@@ -1028,40 +942,14 @@ class VecCore:
                         self._pcreated.reshape(-1)[
                             b_of * np.int64(self._pcap) + pids
                         ] = cycle
-                    if not dense and not scan:
-                        # arm immediately: this cycle's latch phase must
-                        # see sources the admission just gave work; fidx
-                        # repeats a source that admitted several packets
-                        # this cycle, so dedupe before extending the set
-                        fresh = fidx.compress(~self._armed_mask.take(fidx))
-                        if fresh.size:
-                            if fresh.size > 1:
-                                fresh = np.unique(fresh)
-                            self._armed_mask[fresh] = True
-                            self._armed_idx = np.concatenate(
-                                (self._armed_idx, fresh)
-                            )
 
         # ---- inject phase 2: idle sources latch the next queued packet
         scode = self._scode
         sflat = scode.reshape(-1)
-        if dense or scan:
-            can_start = (sflat < 0) & (self._qstart < self._qtail)
-            if not all_alive:
-                can_start &= np.repeat(act, S)
-            sidx = np.flatnonzero(can_start)
-            arm = None
-        else:
-            arm = self._armed_idx
-            if not all_alive and arm.size:
-                arm = arm.compress(act.take(arm // S))
-            if arm.size:
-                sidx = arm.compress(
-                    (sflat.take(arm) < 0)
-                    & (self._qstart.take(arm) < self._qtail.take(arm))
-                )
-            else:
-                sidx = arm
+        can_start = (sflat < 0) & (self._qstart < self._qtail)
+        if not all_alive:
+            can_start &= np.repeat(act, S)
+        sidx = np.flatnonzero(can_start)
         if sidx.size:
             if self._any_orphan_src:
                 bad = self._inj_ch[sidx % S] < 0
@@ -1074,20 +962,14 @@ class VecCore:
 
         # ---- route phase: desired output per occupied input buffer.
         # The occupied set is (replica, channel)-sorted like the
-        # reference's sorted(occupied) -- maintained incrementally, or
-        # recomputed by full-width scan in dense mode; every occupied
-        # buffer produces exactly one request.
-        if dense or scan:
-            occ = fl2 > 0
-            if not all_alive:
-                occ &= act[:, None]
-            # int32 index arithmetic: // and the derived remainder are
-            # several times cheaper than int64 %, and rb is free
-            off = np.flatnonzero(occ).astype(np.int32)
-        else:
-            off = self._occ_idx
-            if not all_alive and off.size:
-                off = off.compress(act.take(off // C))
+        # reference's sorted(occupied) -- re-derived by a full-width scan;
+        # every occupied buffer produces exactly one request.
+        occ = fl2 > 0
+        if not all_alive:
+            occ &= act[:, None]
+        # int32 index arithmetic: // and the derived remainder are several
+        # times cheaper than int64 %, and rb is free
+        off = np.flatnonzero(occ).astype(np.int32)
         if b1:
             rb = None  # identically zero; materialized only by detections
             rc = off
@@ -1120,24 +1002,15 @@ class VecCore:
         ro = cur  # (cur is a fresh gather; heads were patched in place)
 
         # ---- inject phase 3 (decision): space check against pre-move state
-        if dense or scan:
-            ready = sflat >= 0
-            if not all_alive:
-                ready &= np.repeat(act, S)
-            if ready.any():
-                ipos = np.flatnonzero(
-                    ready & (fifo_len.take(self._inj_flat) < D)
-                ).astype(np.int32)
-            else:
-                ipos = _EMPTY32
-        elif arm.size:
-            # post-latch every armed source holds a latched code (armed
-            # means latched-or-queued, and the latch above just converted
-            # the queued-only ones), so the armed set IS the ready set;
-            # only the injection-buffer space check remains
-            ipos = arm.compress(fifo_len.take(self._inj_flat.take(arm)) < D)
+        ready = sflat >= 0
+        if not all_alive:
+            ready &= np.repeat(act, S)
+        if ready.any():
+            ipos = np.flatnonzero(
+                ready & (fifo_len.take(self._inj_flat) < D)
+            ).astype(np.int32)
         else:
-            ipos = arm
+            ipos = _EMPTY32
 
         # ---- allocate phase: grants per (replica, output channel)
         check = cycle % self.config.deadlock_check_interval == 0
@@ -1299,80 +1172,21 @@ class VecCore:
             last = idx == size - 1
             sflat[ipos] = np.where(last, np.int64(-1), codes + 1)
             if b1:
-                nlast = int(np.count_nonzero(last))
-                if nlast:
-                    lpos = ipos[last]
-                    self._backlog[0] -= nlast
-                    if not dense and not scan:
-                        src_touch.append(lpos)
+                self._backlog[0] -= int(np.count_nonzero(last))
                 moved0 += ipos.size
             else:
                 # one bincount keyed on (replica, last?) counts injections
                 # and packet completions together
                 ibl = np.bincount(ib * 2 + last, minlength=2 * B)
-                if last.any():
-                    lpos = ipos[last]
-                    self._backlog -= ibl[1::2]
-                    if not dense and not scan:
-                        src_touch.append(lpos)
+                self._backlog -= ibl[1::2]
                 moved_b += ibl[0::2] + ibl[1::2]
 
         # ---- execute the fused FIFO pushes (targets unique per cycle)
-        occ_fresh = None
         if push_ch is not None and push_ch.size:
             fl_o = fifo_len.take(push_ch)
             slot = (self._fhead.take(push_ch) + fl_o) & (self._Dp - 1)
             self._fifo_flat[push_ch * self._Dp + slot] = push_codes
             fifo_len[push_ch] = fl_o + 1
-            if not dense and not scan:
-                # a push occupies its channel iff it found it empty AND the
-                # channel is not already a member (popped-to-zero inputs
-                # that were re-filled this cycle stay in the set)
-                occ_fresh = push_ch.compress(
-                    (fl_o == 0) & ~self._occ_mask.take(push_ch)
-                )
-
-        # ---- active-set maintenance: union the touched indices into the
-        # sorted sets and re-derive membership from post-move state.  Cost
-        # is O(active log active), never O(B*C): upkeep scales with what
-        # the cycle moved, not with the network width.
-        if not dense and not scan:
-            occ = self._occ_idx
-            if parts is not None and len(parts):
-                # only popped channels can empty, and every pop is in occ
-                keep = fifo_len.take(occ) > 0
-                if not keep.all():
-                    self._occ_mask[occ.compress(~keep)] = False
-                    occ = occ.compress(keep)
-            if occ_fresh is not None and occ_fresh.size:
-                self._occ_mask[occ_fresh] = True
-                occ_fresh.sort()
-                # two-sorted-array merge (np.insert pays an argsort)
-                at = np.searchsorted(occ, occ_fresh) + np.arange(
-                    occ_fresh.size, dtype=np.int64
-                )
-                merged = np.empty(occ.size + occ_fresh.size, dtype=occ.dtype)
-                merged[at] = occ_fresh
-                hole = np.ones(merged.size, dtype=bool)
-                hole[at] = False
-                merged[hole] = occ
-                occ = merged
-            self._occ_idx = occ
-            if src_touch:
-                # only sources that injected their worm's last flit this
-                # cycle (lpos) can disarm: every other armed source still
-                # holds a latched code (armed = latched-or-queued, and the
-                # latch phase converts queued-only sources on sight)
-                lp = (
-                    src_touch[0]
-                    if len(src_touch) == 1
-                    else np.concatenate(src_touch)
-                )
-                dis = lp.compress(self._qstart.take(lp) >= self._qtail.take(lp))
-                if dis.size:
-                    self._armed_mask[dis] = False
-                    am = self._armed_idx
-                    self._armed_idx = am.compress(self._armed_mask.take(am))
 
         # ---- progress / deadlock bookkeeping
         if len(self._lf_pend) >= 512:
@@ -1380,10 +1194,7 @@ class VecCore:
         if b1:
             # scalar bookkeeping for the lone (alive) replica
             self._fmoved[0] += moved0
-            if dense or scan:
-                occ0 = int(np.count_nonzero(fifo_len))
-            else:
-                occ0 = self._occ_idx.size
+            occ0 = int(np.count_nonzero(fifo_len))
             if occ0 > self._peak[0]:
                 self._peak[0] = occ0
             stalled = moved0 == 0 and (
@@ -1408,12 +1219,7 @@ class VecCore:
             self._cycle = cycle + 1
             return
         self._fmoved += moved_b
-        if dense or scan:
-            occ_cnt = np.count_nonzero(fl2, axis=1)
-        elif self._occ_idx.size:
-            occ_cnt = np.bincount(self._occ_idx // C, minlength=B)
-        else:
-            occ_cnt = np.zeros(B, dtype=np.int64)
+        occ_cnt = np.count_nonzero(fl2, axis=1)
         if all_alive:
             np.maximum(self._peak, occ_cnt, out=self._peak)
         else:
@@ -1638,15 +1444,6 @@ class VecCore:
             dlv = int(self._pdel[b, pid])
             if dlv >= 0:
                 packet.delivered = dlv
-
-    def packet_records(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Admitted packets' ``(created, delivered, size)`` arrays for
-        replica ``b`` (``delivered == -1`` while in flight).  This is the
-        zero-object path the sweep window logic consumes."""
-        n = self._streams[b].next_pid if self._streams[b].plan is not None else self._pcap
-        created = self._pcreated[b, :n]
-        sel = np.flatnonzero(created >= 0)
-        return created[sel], self._pdel[b, sel], self._psize[b, sel]
 
     def packets_of(self, b: int) -> dict[int, Packet]:
         """Reference-shaped ``packets`` dict for replica ``b``.

@@ -1,14 +1,13 @@
-"""Property: active-set stepping is bit-identical to dense stepping.
+"""Property: every replica of a batched VecCore equals the reference.
 
-The vectorized core keeps three step disciplines: ``dense`` (every phase
-kernel sweeps the full ``(B*C,)`` width), ``active_set="scan"``
-(occupied/armed sets re-derived by full-width boolean scans each cycle)
-and ``active_set="index"`` (compressed index arrays maintained
-incrementally).  All three must produce the field-complete
+The vectorized core re-derives its active sets (occupied channels, armed
+sources) by full-width scans each cycle and fast-forwards idle stretches.
+Whatever the occupancy pattern (bursty explicit schedules, uniform plans,
+silence), batch size, drain, or idle window (which drives the
+fast-forward), each replica must produce the field-complete
 ``stats_signature`` -- every counter, every latency sample, every
-per-packet stamp -- for every replica, whatever the occupancy pattern
-(bursty explicit schedules, uniform plans, silence), batch size, or idle
-window (which exercises the fast-forward path the active sets key).
+per-packet stamp -- of an independent run of the same stream on the
+reference interpreter.
 """
 
 from hypothesis import given, settings
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 from repro.obs.parity import stats_signature
 from repro.routing.cache import cached_tables
 from repro.sim.engine import SimConfig
+from repro.sim.network_sim import WormholeSim
 from repro.sim.traffic import explicit_traffic
 from repro.sim.vec import UniformPlan, VecCore
 from repro.topology.mesh import mesh
@@ -25,6 +25,7 @@ NET = mesh((3, 3), nodes_per_router=1)
 TABLES = cached_tables(NET)
 ENDS = NET.end_node_ids()
 CFG = SimConfig(raise_on_deadlock=False, stall_threshold=400)
+REF_CFG = SimConfig(engine="reference", raise_on_deadlock=False, stall_threshold=400)
 
 
 class _Shaped:
@@ -34,28 +35,23 @@ class _Shaped:
         self.stats, self.packets = stats, packets
 
 
-def _make_stream(spec):
-    """A factory returning a fresh, identical stream per invocation.
-
-    Generators are stateful, so each core must consume its own copy;
-    plans are frozen recipes and can be shared as-is.
-    """
+def _stream(spec):
+    """The stream for one replica spec: a frozen plan for the batched
+    core; explicit schedules are stateful generators, so every run gets a
+    freshly built one."""
     if isinstance(spec, tuple):  # (rate, size, seed) -> uniform plan
-        rate, size, seed = spec
-        plan = UniformPlan(rate, size, seed)
-        return lambda: plan
-    schedule = [(c, ENDS[s], ENDS[d], n) for c, s, d, n in spec if s != d]
-    return lambda: explicit_traffic(schedule)
+        return UniformPlan(*spec)
+    return explicit_traffic([(c, ENDS[s], ENDS[d], n) for c, s, d, n in spec if s != d])
 
 
-def _signatures(factories, cycles, drain, **core_kw):
-    core = VecCore(NET, TABLES, [f() for f in factories], CFG, **core_kw)
-    core.run(cycles, drain=drain)
-    core.finalize()
-    return [
-        stats_signature(_Shaped(core.stats_of(b), core.packets_of(b)))
-        for b in range(len(factories))
-    ]
+def _reference_signature(spec, cycles, drain):
+    traffic = _stream(spec)
+    if isinstance(traffic, UniformPlan):
+        traffic = traffic.build(NET)
+    sim = WormholeSim(NET, TABLES, traffic, REF_CFG)
+    sim.run(cycles, drain=drain)
+    sim.finalize()
+    return stats_signature(sim)
 
 
 # Bursty explicit schedules: injection cycles up to 120 against runs as
@@ -86,10 +82,10 @@ _replica = st.one_of(_events, _plan)
     cycles=st.integers(10, 200),
     drain=st.booleans(),
 )
-def test_active_set_bit_identical_to_dense(specs, cycles, drain):
-    factories = [_make_stream(s) for s in specs]
-    dense = _signatures(factories, cycles, drain, dense=True)
-    index = _signatures(factories, cycles, drain, active_set="index")
-    scan = _signatures(factories, cycles, drain, active_set="scan")
-    assert index == dense
-    assert scan == dense
+def test_each_replica_bit_identical_to_reference_run(specs, cycles, drain):
+    core = VecCore(NET, TABLES, [_stream(s) for s in specs], CFG)
+    core.run(cycles, drain=drain)
+    core.finalize()
+    for b, spec in enumerate(specs):
+        got = stats_signature(_Shaped(core.stats_of(b), core.packets_of(b)))
+        assert got == _reference_signature(spec, cycles, drain), f"replica {b}"

@@ -53,17 +53,34 @@ class TestBatchOneParity:
         )
         assert sig["packets_delivered"] > 0
 
-    def test_uniform_plan_fast_path_matches_generator(self, grid):
+    @pytest.mark.parametrize(
+        "tiers",
+        [("replay", "replay"), ("fallback", "fallback"), ("replay", "fallback")],
+        ids=["replay", "fallback", "handoff"],
+    )
+    def test_uniform_plan_fast_path_matches_generator(self, grid, monkeypatch, tiers):
         """The pre-generated array arrival path must consume the PCG64
-        stream exactly like the per-cycle generator."""
+        stream exactly like the per-cycle generator: on the raw-word
+        replay, on the per-cycle fallback, and when a window drawn by the
+        replay hands the generator state to one drawn by the fallback."""
+        from repro.sim import vec as vec_mod
+
         net, tables = grid
         ref = WormholeSim(
-            net, tables, uniform_traffic(net.end_node_ids(), 0.1, 4, 1996), CFG
+            net,
+            tables,
+            uniform_traffic(net.end_node_ids(), 0.1, 4, 1996),
+            SimConfig(engine="reference", raise_on_deadlock=False, stall_threshold=400),
         )
-        ref.run(300, drain=True)
+        ref.run(150)
+        ref.run(150, drain=True)
         ref.finalize()
+        assert vec_mod._raw_uniform_ok() is True
         vec = VecSim(net, tables, UniformPlan(0.1, 4, 1996), CFG)
-        vec.run(300, drain=True)
+        # each run() pre-generates its own 150-cycle window
+        for tier, drain in zip(tiers, (False, True)):
+            monkeypatch.setattr(vec_mod, "_RAW_UNIFORM_OK", tier == "replay")
+            vec.run(150, drain=drain)
         vec.finalize()
         assert compare_signatures(stats_signature(ref), stats_signature(vec)) == []
 
@@ -138,20 +155,39 @@ class TestDeadlockParity:
         assert vec_exc.value.at_cycle == ref_exc.value.at_cycle
 
 
+def _wide_batch():
+    """64 replicas of the depth-2 fat fanout-2 fractahedron: a wide batch
+    of 64 x 592 = 37,888 replica-channels."""
+    net = fat_fractahedron(2, fanout_width=2)
+    plans = [UniformPlan(0.002 + 0.001 * i, 4, 200 + i) for i in range(64)]
+    return net, cached_tables(net), plans, 200
+
+
+def _narrow_batch():
+    net = fat_fractahedron(1)
+    plans = [UniformPlan(0.02 + 0.02 * i, 8, 100 + i) for i in range(8)]
+    return net, cached_tables(net), plans, 400
+
+
 class TestBatchedReplicas:
-    def test_each_replica_bit_identical_to_independent_run(self, fracta):
-        net, tables = fracta
-        plans = [UniformPlan(0.02 + 0.02 * i, 8, 100 + i) for i in range(8)]
+    @pytest.mark.parametrize(
+        "batch", [_narrow_batch, _wide_batch], ids=["depth1-x8", "depth2-x64"]
+    )
+    def test_each_replica_bit_identical_to_independent_run(self, batch):
+        net, tables, plans, cycles = batch()
         core = VecCore(net, tables, plans, CFG)
-        core.run(400, drain=True)
+        core.run(cycles, drain=True)
+        # independent runs on the compiled core, so the oracle never
+        # shares the array kernels under test
+        solo_cfg = SimConfig(engine="compiled", raise_on_deadlock=False, stall_threshold=400)
         for b, plan in enumerate(plans):
             solo = WormholeSim(
                 net,
                 tables,
-                uniform_traffic(net.end_node_ids(), plan.rate, 8, plan.seed),
-                CFG,
+                uniform_traffic(net.end_node_ids(), plan.rate, plan.packet_size, plan.seed),
+                solo_cfg,
             )
-            solo.run(400, drain=True)
+            solo.run(cycles, drain=True)
             solo.finalize()
             diffs = compare_signatures(
                 stats_signature(solo),
