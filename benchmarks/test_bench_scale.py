@@ -15,7 +15,7 @@ Every depth row shares one schema: the pipeline keys (``build_s``,
 ``auto_engine``) are always present, so downstream tooling can read
 ``row["cycles_per_sec"]`` at any depth.  Depth 4 (8192 ends, ~8K
 routers) exercises the memory refactors -- the int16 table matrix, the
-int32 lowered IR with lazy row materialization, and the arena-backed
+factored lowered IR (that matrix plus a per-router port LUT), and the arena-backed
 ``Network.indices()`` -- but marks the hierarchical-vs-oracle
 head-to-head with an explicit ``"oracle_skipped"`` reason instead of
 silently dropping the keys: a full-sweep oracle there is minutes of BFS,

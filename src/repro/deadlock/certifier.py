@@ -185,8 +185,9 @@ _BLOCK_CELLS = 1 << 22
 def _table_relation(net: Network, tables: RoutingTable) -> _Relation | None:
     """The all-pairs dependency relation, read straight off the tables.
 
-    Works on the lowered ``router x destination`` link matrix, one block
-    of destinations at a time, without enumerating routes:
+    Gathers the lowered table's ``router x destination`` links one block
+    of destinations at a time (the whole matrix is never held), without
+    enumerating routes:
 
     * **Deliverability.**  Each cell steps to the next router, to DONE
       (the link ejects at the destination) or to FAIL (no entry, an
@@ -211,22 +212,21 @@ def _table_relation(net: Network, tables: RoutingTable) -> _Relation | None:
     n_routers, n_ends, n_links = len(idx.router_ids), len(idx.end_ids), len(idx.link_ids)
     if n_ends < 2:
         return _EMPTY
-    rows = tables.lower(net).rows
-    num_ports = max((net.node(r).num_ports for r in idx.router_ids), default=1)
+    lowered = tables.lower(net)  # vc_count 1: base channel == link index
+    # the LUT without its sentinel column: router x port -> link
+    out_link = lowered.port_ch[:, :-1]
+    num_ports = out_link.shape[1]
     # Per link: the router / end node it enters and its output port.  The
     # extra last slot (-1) is what a -1 ("no link") table cell indexes.
     to_router = np.full(n_links + 1, -1, dtype=np.int32)
     to_end = np.full(n_links + 1, -1, dtype=np.int32)
-    port = np.zeros(n_links + 1, dtype=np.int32)
-    out_link = np.full((n_routers, num_ports), -1, dtype=np.int32)
     for li, lid in enumerate(idx.link_ids):
-        channel = net.link(lid)
-        to_router[li] = idx.router_index.get(channel.dst, -1)
-        to_end[li] = idx.end_index.get(channel.dst, -1)
-        src = idx.router_index.get(channel.src)
-        if src is not None:
-            port[li] = channel.src_port
-            out_link[src, channel.src_port] = li
+        dst = net.link(lid).dst
+        to_router[li] = idx.router_index.get(dst, -1)
+        to_end[li] = idx.end_index.get(dst, -1)
+    port = np.zeros(n_links + 1, dtype=np.int32)
+    cabled = np.nonzero(out_link >= 0)
+    port[out_link[cabled]] = cabled[1]
     injection = np.full(n_ends, -1, dtype=np.int32)
     for e, end in enumerate(idx.end_ids):
         out = net.out_links(end)
@@ -242,7 +242,7 @@ def _table_relation(net: Network, tables: RoutingTable) -> _Relation | None:
     for lo in range(0, n_ends, block):
         dests = np.arange(lo, min(lo + block, n_ends))
         width = dests.size
-        link = rows[:, lo : lo + width]
+        link = lowered.columns(lo, lo + width)
         hop = to_router[link]
         step = np.where(hop >= 0, hop, np.where(to_end[link] == dests, done, fail))
         final = np.vstack([step, np.full((1, width), done), np.full((1, width), fail)])

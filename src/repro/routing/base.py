@@ -9,7 +9,7 @@ in-order delivery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -121,50 +121,31 @@ class RoutingTable:
     def lower(self, net: Network, vc_count: int = 1) -> "LoweredTable":
         """Lower the string-keyed table onto a network's integer indices.
 
-        Produces the flat ``router_index x end_index`` array the compiled
-        simulator core routes from: each cell holds the *base channel*
-        ``link_index * vc_count`` of the outgoing link the entry forwards
-        onto, or ``-1`` when the router has no entry for that destination
-        (or the entry names an uncabled port).  ``-1`` cells are resolved
-        through the original table at runtime so the exact
-        :class:`RoutingError` / ``NetworkError`` diagnostics of the
-        reference engine are preserved.
+        Densifies the entries into a ``router_index x end_index`` port
+        matrix (:meth:`ArrayRoutingTable.from_table`) and factors it
+        through the network's per-router port LUT; see
+        :class:`LoweredTable` for the form the simulator cores route from.
         """
-        from repro.network.graph import NetworkError
-
-        idx = net.indices()
-        rows = np.full((len(idx.router_ids), len(idx.end_ids)), -1, dtype=np.int32)
-        for router, dests in self._entries.items():
-            r = idx.router_index.get(router)
-            if r is None:
-                continue
-            row = rows[r]
-            for dest, port in dests.items():
-                e = idx.end_index.get(dest)
-                if e is None:
-                    continue
-                try:
-                    link = net.out_link_on_port(router, port)
-                except NetworkError:
-                    continue
-                row[e] = idx.link_index[link.link_id] * vc_count
-        return LoweredTable(
-            rows=rows,
-            version=idx.version,
-            vc_count=vc_count,
-            num_entries=self.num_entries(),
-        )
+        dense = ArrayRoutingTable.from_table(self, net.indices())
+        return LoweredTable.from_ports(net, dense.ports, vc_count, self.num_entries())
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<RoutingTable {len(self._entries)} routers, {self.num_entries()} entries>"
 
 
+#: cells per block of the blockwise passes over a port matrix; bounds
+#: their temporaries at any fabric size
+_BLOCK_CELLS = 1 << 22
+
+#: the int16 port matrix's range (see :meth:`ArrayRoutingTable.from_table`)
+_PORT_MIN, _PORT_MAX = -(1 << 15), (1 << 15) - 1
+
+
 def _port_link_lut(net: Network, idx) -> "np.ndarray":
     """Per-router ``port -> link index`` lookup (-1 where uncabled).
 
-    One pass over the links replaces the per-entry ``out_link_on_port``
-    calls of the dict lowering path, which is what keeps lowering linear
-    in table *size* rather than in Python-level dict traffic.
+    One pass over the links stands in for a per-entry ``out_link_on_port``
+    call, so lowering costs a pass over the links, not over the table.
     """
     max_ports = max((net.node(r).num_ports for r in idx.router_ids), default=1)
     lut = np.full((len(idx.router_ids), max_ports), -1, dtype=np.int32)
@@ -185,7 +166,7 @@ class ArrayRoutingTable(RoutingTable):
     network's dense integer indices instead of nested per-router dicts.
     At fractahedron depth 4 (8K+ end nodes, ~100M entries) the dict form
     needs gigabytes of hash tables; the matrix needs two bytes per cell
-    and lowers to the compiled IR with pure vector ops.
+    and lowers without a copy (see :class:`LoweredTable`).
 
     ``ports[router_index, end_index]`` holds the output port, or ``-1``
     where the router has no entry for that destination.
@@ -202,13 +183,19 @@ class ArrayRoutingTable(RoutingTable):
 
     @classmethod
     def from_table(cls, table: RoutingTable, indices) -> "ArrayRoutingTable":
-        """Densify any routing table onto a network's indices."""
+        """Densify any routing table onto a network's indices.
+
+        Ports outside the ``int16`` range saturate to its ends: no router
+        has that many ports, so such an entry still names no link.
+        """
         out = cls(indices)
         ports = out.ports
         ri, ei = indices.router_index, indices.end_index
         for router, dest, port in table.items():
             r, e = ri.get(router), ei.get(dest)
             if r is not None and e is not None:
+                if not _PORT_MIN <= port <= _PORT_MAX:
+                    port = _PORT_MIN if port < 0 else _PORT_MAX
                 ports[r, e] = port
         return out
 
@@ -257,7 +244,12 @@ class ArrayRoutingTable(RoutingTable):
             yield router_ids[r], end_ids[e], int(self.ports[r, e])
 
     def num_entries(self) -> int:
-        return int((self.ports >= 0).sum())
+        ports = self.ports
+        step = max(1, _BLOCK_CELLS // max(ports.shape[1], 1))
+        return sum(
+            int(np.count_nonzero(ports[lo : lo + step] >= 0))
+            for lo in range(0, ports.shape[0], step)
+        )
 
     def used_output_ports(self, router: str) -> set[int]:
         r = self._idx.router_index.get(router)
@@ -272,27 +264,14 @@ class ArrayRoutingTable(RoutingTable):
     # -- lowering ------------------------------------------------------
     def lower(self, net: Network, vc_count: int = 1) -> "LoweredTable":
         idx = net.indices()
+        table = self
         if (
             idx.router_ids != tuple(self._idx.router_ids)
             or idx.end_ids != tuple(self._idx.end_ids)
         ):
-            # Indexed against a different structure: fall back to the
-            # generic per-entry path (correct, just not vectorized).
-            return RoutingTable(
-                {r: self.entries(r) for r in self.routers()}
-            ).lower(net, vc_count)
-        lut = _port_link_lut(net, idx)
-        ports = self.ports
-        valid = (ports >= 0) & (ports < lut.shape[1])
-        safe = np.where(valid, ports, 0).astype(np.int32)
-        links = np.take_along_axis(lut, safe, axis=1)
-        rows = np.where(valid & (links >= 0), links * vc_count, -1).astype(np.int32)
-        return LoweredTable(
-            rows=rows,
-            version=idx.version,
-            vc_count=vc_count,
-            num_entries=self.num_entries(),
-        )
+            # Indexed against a different structure: re-densify by name.
+            table = ArrayRoutingTable.from_table(self, idx)
+        return LoweredTable.from_ports(net, table.ports, vc_count, self.num_entries())
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -305,19 +284,67 @@ class ArrayRoutingTable(RoutingTable):
 class LoweredTable:
     """A routing table lowered to dense integer indices (see ``lower``).
 
-    ``rows[router_index][end_index]`` is the base output channel
-    (``link_index * vc_count``) or ``-1``.  The matrix stays a single
-    int32 array end to end: a 16K-end fabric's table is a few hundred MB
-    boxed into Python lists but tens of MB as the array, and route
-    lookups happen once per worm head per hop, so scalar array indexing
-    is never the per-cycle bottleneck.  ``version`` and ``num_entries``
-    let holders detect stale lowerings after topology or table mutation.
+    The form is factored: ``ports`` is the table's own ``router x end``
+    int16 port matrix (a read-only view, never copied) and ``port_ch`` a
+    small per-router ``port -> base channel`` LUT (``link_index *
+    vc_count``, ``-1`` where uncabled) with one last sentinel column of
+    ``-1``.  The base output channel of cell ``(r, e)`` is
+    ``port_ch[r, min(p, W)]`` with ``p`` the port read as unsigned and
+    ``W`` the widest router's port count: a negative port (no entry)
+    reads as at least ``2**15``, so it lands on the sentinel together with
+    every port too wide for the LUT.  A depth-4 fractahedron's 8192-end
+    table is thus 130 MB of int16 plus a LUT of a few hundred KB, where a
+    materialised int32 matrix would add 260 MB more.  ``version`` and
+    ``num_entries`` let holders detect stale lowerings after topology or
+    table mutation.
     """
 
-    rows: "np.ndarray"
+    ports: "np.ndarray"
+    port_ch: "np.ndarray"
     version: int
     vc_count: int
     num_entries: int
+
+    @classmethod
+    def from_ports(
+        cls, net: Network, ports: "np.ndarray", vc_count: int, num_entries: int
+    ) -> "LoweredTable":
+        """Factor a port matrix indexed by ``net.indices()`` (the one
+        constructor both lowerings share)."""
+        idx = net.indices()
+        lut = _port_link_lut(net, idx)
+        port_ch = np.full((lut.shape[0], lut.shape[1] + 1), -1, dtype=np.int32)
+        port_ch[:, :-1] = np.where(lut >= 0, lut * vc_count, -1)
+        view = ports.view()
+        view.flags.writeable = False
+        return cls(view, port_ch, idx.version, vc_count, num_entries)
+
+    def _lut_column(self, ports: "np.ndarray") -> "np.ndarray":
+        """LUT column of each port (the sentinel for negative or too wide
+        ports, which the same-width unsigned cast puts past the LUT)."""
+        col = ports.astype(np.dtype(f"u{ports.dtype.itemsize}"))
+        return np.minimum(col, self.port_ch.shape[1] - 1, out=col)
+
+    def gather(self, routers: "np.ndarray", ends: "np.ndarray") -> "np.ndarray":
+        """Base channels of the cells ``(routers[i], ends[i])`` (-1: none)."""
+        return self.port_ch[routers, self._lut_column(self.ports[routers, ends])]
+
+    def columns(self, lo: int, hi: int) -> "np.ndarray":
+        """Base channels of end columns ``lo:hi`` for every router."""
+        col = self._lut_column(self.ports[:, lo:hi])
+        return np.take_along_axis(self.port_ch, col, axis=1)
+
+    @property
+    def rows(self) -> "np.ndarray":
+        """The whole ``router x end`` base-channel matrix, built on demand
+        one column block at a time.  For tests and oracles: no engine or
+        certifier reads it."""
+        n_routers, n_ends = self.ports.shape
+        out = np.empty((n_routers, n_ends), dtype=np.int32)
+        step = max(1, _BLOCK_CELLS // max(n_routers, 1))
+        for lo in range(0, n_ends, step):
+            out[:, lo : lo + step] = self.columns(lo, lo + step)
+        return out
 
 
 def compute_route(net: Network, tables: RoutingTable, src: str, dst: str) -> Route:

@@ -19,9 +19,10 @@ This module *compiles* the simulation instead:
   the reference engine's ``(link_id, vc)`` tuples*, which is what makes
   arbitration order, and therefore every statistic, bit-identical.
 * Routing tables are lowered (:meth:`repro.routing.base.RoutingTable.lower`)
-  to a flat ``router_index x end_index`` array of base output channels,
-  memoized by the routing-table cache under the same content hash as the
-  tables themselves.
+  to the table's own ``router_index x end_index`` port matrix plus a
+  per-router ``port -> base output channel`` LUT, memoized by the
+  routing-table cache under the same content hash as the tables
+  themselves.
 * :class:`SimCore` is the step kernel.  Flits are packed into single ints
   (``packet_id << 20 | flit_index``; a flit is a head iff its index is 0
   and a tail iff its index is ``size - 1``), FIFOs are deques of ints,
@@ -221,7 +222,7 @@ class SimCore:
             )
 
         self._cn = cn = compile_network(net, cfg.vc_count)
-        self._rows = self._lower(tables)
+        self._lower(tables)
         nC = cn.num_channels
 
         #: per-channel input FIFO of flit codes (None where dst is an end node)
@@ -270,15 +271,14 @@ class SimCore:
         self._fault_ptr = 0
 
     # ------------------------------------------------------------------
-    def _lower(self, tables: RoutingTable):
+    def _lower(self, tables: RoutingTable) -> None:
         from repro.routing.cache import DEFAULT_CACHE
 
-        # The int32 matrix is routed from directly; route lookups are one
-        # per worm head per hop, far off the per-flit hot path, and boxing
-        # rows into Python lists costs more than every lookup combined on
-        # thousand-router fabrics.
+        # Route lookups are one per worm head per hop, far off the per-flit
+        # hot path: the port matrix is indexed in place, and only the small
+        # port -> channel LUT is boxed into Python lists.
         self._lowered = DEFAULT_CACHE.get_or_lower(self.net, tables, self.config.vc_count)
-        return self._lowered.rows
+        self._port_ch = self._lowered.port_ch.tolist()
 
     # ------------------------------------------------------------------
     @property
@@ -440,7 +440,8 @@ class SimCore:
         desires: dict[int, int] = {}
         requests: dict[int, list[int]] = {}
         if occ:
-            rows = self._rows
+            ports = self._lowered.ports
+            port_ch = self._port_ch
             dst_idx = self._dst_idx
             for ch in sorted(occ):
                 qc = q[ch]
@@ -456,7 +457,9 @@ class SimCore:
                         )
                     pid = code >> FLIT_INDEX_BITS
                     rtr = ch_router[ch]
-                    base = int(rows[rtr, dst_idx[pid]])
+                    lut = port_ch[rtr]
+                    col = int(ports[rtr, dst_idx[pid]])
+                    base = lut[col] if 0 <= col < len(lut) else -1
                     if base < 0:
                         base = self._slow_route(ch, pid)
                     out = (base + ch % V) if V > 1 else base
@@ -784,7 +787,7 @@ class SimCore:
     def swap_tables(self, tables: RoutingTable) -> None:
         """Atomically install (and lower) a new routing table."""
         self.tables = tables
-        self._rows = self._lower(tables)
+        self._lower(tables)
         self.stats.table_swaps += 1
         self._stall = 0
         if self.trace is not None:

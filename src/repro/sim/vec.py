@@ -73,6 +73,7 @@ on the reference/compiled engines; the facade's blocker list dispatches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -80,11 +81,11 @@ import numpy as np
 
 from repro.deadlock.waitfor import WaitForGraph
 from repro.network.graph import Network
-from repro.routing.base import RoutingTable
+from repro.routing.base import LoweredTable, RoutingTable
 from repro.sim.compile import CompiledNet, compile_network
 from repro.sim.engine import DeadlockDetected, SimConfig
 from repro.sim.packet import Packet
-from repro.sim.stats import LatencySeries, SimStats
+from repro.sim.stats import SimStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.traffic import TrafficGenerator
@@ -196,6 +197,21 @@ def _raw_uniform_ok() -> bool:
             # bug, a MemoryError) must propagate, not silently degrade.
             _RAW_UNIFORM_OK = False
     return _RAW_UNIFORM_OK
+
+
+def _fires(raw: np.ndarray, rate: float) -> np.ndarray:
+    """``(raw >> 11) * 2**-53 < rate`` on raw PCG64 words, in integers.
+
+    ``x * 2**-53`` is exact for ``x < 2**53``, so the double is below
+    ``rate`` iff ``x < ceil(rate * 2**53)``, iff the word is below that
+    threshold shifted back up by 11 bits.  Rates of 1 and above fire every
+    word, rates of 0 and below (and NaN) none, as the float test does.
+    """
+    if not rate > 0:
+        return np.zeros(raw.size, dtype=bool)
+    if rate >= 1:
+        return np.ones(raw.size, dtype=bool)
+    return raw < np.uint64(math.ceil(rate * 2.0**53) << 11)
 
 
 def _check_raw_uniform() -> bool:
@@ -324,7 +340,7 @@ class VecCore:
             raise ValueError("VecCore needs at least one traffic stream")
 
         self._cn = cn = compile_network(net, cfg.vc_count)
-        self._rows = self._lower(tables)
+        self._lowered = self._lower(tables)
         self.B = B = len(streams)
         self.C = C = cn.num_channels
         self.L = L = cn.num_links
@@ -356,8 +372,6 @@ class VecCore:
         self._inj_flat = (
             np.arange(B, dtype=np.int32)[:, None] * C + self._inj_ch_clip[None, :]
         ).reshape(-1)
-        self._rows_flat = self._rows.reshape(-1)
-        self._rows_w = self._rows.shape[1]
 
         # ---- dynamic state, struct-of-arrays.  The per-channel scalars are
         # int32: the step kernel is dominated by random gathers over them,
@@ -421,11 +435,10 @@ class VecCore:
         self._streams = [_Stream(s, net, cn.end_index) for s in streams]
 
     # ------------------------------------------------------------------
-    def _lower(self, tables: RoutingTable) -> np.ndarray:
+    def _lower(self, tables: RoutingTable) -> LoweredTable:
         from repro.routing.cache import DEFAULT_CACHE
 
-        rows = DEFAULT_CACHE.get_or_lower(self.net, tables, self.config.vc_count).rows
-        return rows.astype(np.int32)  # copy: never mutate the shared cache
+        return DEFAULT_CACHE.get_or_lower(self.net, tables, self.config.vc_count)
 
     def _grow_pcap(self, need: int) -> None:
         if need > MAX_PID:
@@ -628,9 +641,12 @@ class VecCore:
 
         if not tot:
             return True
+        # fired double positions, ascending (cycle, then source); words
+        # past a fired cycle's n doubles are integer or later-cycle words
         dstarts_a = np.array(dstarts, dtype=np.int64)
-        seg = lt[dstarts_a[:, None] + np.arange(n, dtype=np.int64)[None, :]]
-        srcs = np.nonzero(seg)[1]  # row-major: ascending source per cycle
+        pos = np.flatnonzero(lt[:p_total])
+        srcs = pos - dstarts_a[np.searchsorted(dstarts_a, pos, side="right") - 1]
+        srcs = srcs[(srcs >= 0) & (srcs < n)]
         dsts = js + (js >= srcs)
         cyc_arr = np.repeat(
             np.array(ts, dtype=np.int64) + start, np.array(fs, dtype=np.int64)
@@ -652,11 +668,13 @@ class VecCore:
         """Segment the raw word stream into per-cycle double blocks and
         integer words (no-rejection layout; the caller verifies).  Returns
         None when ``raw`` is too short."""
-        lt = ((raw >> np.uint64(11)) * (2.0**-53)) < rate
+        lt = _fires(raw, rate)
         # cumulative fired counts stay a numpy array: only 2 scalar reads
         # per cycle below, and .tolist() on a multi-hundred-K-word window
         # costs more than the whole scan loop
-        ltc = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(lt)))
+        ltc = np.empty(raw.size + 1, dtype=np.int32 if raw.size < 1 << 31 else np.int64)
+        ltc[0] = 0
+        np.cumsum(lt, dtype=ltc.dtype, out=ltc[1:])
         limit = raw.size
         p = 0
         h = 0  # integer halves drawn so far
@@ -991,11 +1009,8 @@ class VecCore:
                 )
             dests = (fronts >> DEST_SHIFT) & DEST_MASK
             urc = rc.take(upos)
-            base = self._rows_flat.take(
-                self._ch_router.take(urc) * self._rows_w + dests
-            )
+            base = self._lowered.gather(self._ch_router.take(urc), dests)
             if (base < 0).any():
-                base = base.copy()
                 for k in np.flatnonzero(base < 0):
                     base[k] = self._slow_route(int(urc[k]), int(dests[k]))
             cur[upos] = base + urc % V if V > 1 else base

@@ -3,6 +3,8 @@ reference interpreter at batch=1 (field-complete signature parity),
 bit-identical per replica when batched, and statistically equivalent in
 aggregate."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -269,3 +271,44 @@ class TestRawUniformGate:
         from repro.sim import vec
 
         assert vec._raw_uniform_ok() is True
+
+
+class TestFireThreshold:
+    """The integer fire test of the uniform replay equals the float test
+    ``(raw >> 11) * 2**-53 < rate`` that ``Generator.random`` implies."""
+
+    @staticmethod
+    def _float_fires(raw, rate):
+        return ((raw >> np.uint64(11)) * (2.0**-53)) < rate
+
+    @pytest.mark.parametrize(
+        "rate", [0.002, 0.005, 0.05, 1 / 3, 0.5, 1 - 2**-53, 2**-53, 2**-60, 5e-324]
+    )
+    def test_boundary_words(self, rate):
+        from repro.sim.vec import _fires
+
+        thr = math.ceil(rate * 2.0**53)
+        words = [(thr << 11) - 1, thr << 11, (thr << 11) + 1, (thr - 1) << 11]
+        words += [0, 1, (1 << 64) - 1]
+        raw = np.array([w for w in words if 0 <= w < 1 << 64], dtype=np.uint64)
+        assert np.array_equal(_fires(raw, rate), self._float_fires(raw, rate))
+        # the threshold word itself is the first word that does not fire
+        assert _fires(np.array([(thr << 11) - 1], dtype=np.uint64), rate)[0]
+        assert not _fires(np.array([thr << 11], dtype=np.uint64), rate)[0]
+
+    @pytest.mark.parametrize(
+        "rate", [0.0, -0.0, -0.5, float("nan"), 1.0, 1.5, float("inf"), float("-inf")]
+    )
+    def test_edge_rates(self, rate):
+        from repro.sim.vec import _fires
+
+        raw = np.random.default_rng(3).bit_generator.random_raw(4096)
+        raw[:3] = [0, 1 << 63, (1 << 64) - 1]
+        assert np.array_equal(_fires(raw, rate), self._float_fires(raw, rate))
+
+    def test_random_words(self):
+        from repro.sim.vec import _fires
+
+        raw = np.random.default_rng(11).bit_generator.random_raw(200_000)
+        for rate in np.random.default_rng(12).random(50):
+            assert np.array_equal(_fires(raw, rate), self._float_fires(raw, rate))
